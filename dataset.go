@@ -24,6 +24,7 @@ package stark
 import (
 	"context"
 	"fmt"
+	"strings"
 	"sync"
 
 	"stark/internal/attr"
@@ -481,23 +482,82 @@ func (st state[V]) flush(ctx *Context) (state[V], error) {
 // Intersects keeps the records whose key intersects q in the combined
 // spatio-temporal semantics.
 func (d *Dataset[V]) Intersects(q STObject) *Dataset[V] {
-	return d.where("intersects", plan.Intersects, q, Intersects, 0, false)
+	return d.Filter(NamedPredicate{kind: plan.Intersects}, q)
 }
 
 // Contains keeps the records whose key completely contains q.
 func (d *Dataset[V]) Contains(q STObject) *Dataset[V] {
-	return d.where("contains", plan.Contains, q, Contains, 0, false)
+	return d.Filter(NamedPredicate{kind: plan.Contains}, q)
 }
 
 // ContainedBy keeps the records whose key is completely contained by
 // q — the paper's events.containedBy(qry).
 func (d *Dataset[V]) ContainedBy(q STObject) *Dataset[V] {
-	return d.where("containedBy", plan.ContainedBy, q, ContainedBy, 0, false)
+	return d.Filter(NamedPredicate{kind: plan.ContainedBy}, q)
 }
 
 // CoveredBy is ContainedBy with boundary tolerance.
 func (d *Dataset[V]) CoveredBy(q STObject) *Dataset[V] {
-	return d.where("coveredBy", plan.CoveredBy, q, CoveredBy, 0, false)
+	return d.Filter(NamedPredicate{kind: plan.CoveredBy}, q)
+}
+
+// Filter keeps the records whose key satisfies the named predicate p
+// against q: the same deferred, planned filter as the method of p's
+// name (WithinDistance under the planar distance).
+func (d *Dataset[V]) Filter(p NamedPredicate, q STObject) *Dataset[V] {
+	pred, expand := p.Predicate()
+	return d.where(namedPredicates[p.kind].step, p.kind, q, pred, expand, false)
+}
+
+// NamedPredicate is one of the predicates the planner can name —
+// intersects, contains, containedby, coveredby or withindistance —
+// resolved by ParsePredicate. It is the one mapping from a predicate
+// name (a query request field, a script keyword) to the DSL: Filter
+// applies it as the filter method of that name, and its Predicate
+// parameterises a Join. The zero value is intersects.
+type NamedPredicate struct {
+	kind     plan.PredKind
+	distance float64
+}
+
+// namedPredicates holds, in plan.PredKind order, each named
+// predicate's DSL step name and its Predicate (nil for
+// withindistance, which is built per distance).
+var namedPredicates = [...]struct {
+	step string
+	pred Predicate
+}{
+	plan.Intersects:     {"intersects", Intersects},
+	plan.Contains:       {"contains", Contains},
+	plan.ContainedBy:    {"containedBy", ContainedBy},
+	plan.CoveredBy:      {"coveredBy", CoveredBy},
+	plan.WithinDistance: {"withinDistance", nil},
+}
+
+// ParsePredicate resolves a predicate name in any case — the inverse
+// of plan.PredKind.String over the named kinds. distance
+// parameterises withindistance and is ignored otherwise; it is not
+// range-checked.
+func ParsePredicate(name string, distance float64) (NamedPredicate, error) {
+	for k := range namedPredicates {
+		if kind := plan.PredKind(k); strings.EqualFold(name, kind.String()) {
+			return NamedPredicate{kind: kind, distance: distance}, nil
+		}
+	}
+	return NamedPredicate{}, fmt.Errorf("unknown predicate %q", name)
+}
+
+// Kind returns the planner's kind of p.
+func (p NamedPredicate) Kind() plan.PredKind { return p.kind }
+
+// Predicate returns p's Predicate and its pruning expansion (the
+// distance for withindistance, 0 otherwise) — what a Join's
+// Predicate and ProbeExpansion take.
+func (p NamedPredicate) Predicate() (Predicate, float64) {
+	if p.kind == plan.WithinDistance {
+		return WithinDistancePredicate(p.distance, nil), p.distance
+	}
+	return namedPredicates[p.kind].pred, 0
 }
 
 // WithinDistance keeps the records whose key lies within maxDist of q
@@ -952,7 +1012,9 @@ func (d *Dataset[V]) Cluster(opts ClusterOptions) ([]ClusteredRecord[V], int, er
 	if err != nil {
 		return nil, 0, err
 	}
+	m := d.beginPhase()
 	recs, n, err := st.sds.Cluster(opts)
+	d.endPhase("cluster", m, int64(len(recs)))
 	if err != nil {
 		return nil, 0, fmt.Errorf("stark: cluster: %w", err)
 	}

@@ -154,7 +154,7 @@
 // JoinBroadcast with the side to materialise on the right. EXPLAIN
 // renders the decision as Join[broadcast|copartition|pairs] with
 // estimated and actual pair/task counts, through the DSL, Piglet
-// EXPLAIN and the server's explain endpoints alike.
+// EXPLAIN and the server's explain endpoint alike.
 //
 // Explain returns the plan as an indented tree: each operator with
 // estimated cost and cardinality, the decisions taken (chosen index
@@ -171,8 +171,8 @@
 // Optimize(false) opts a chain out: filters run in caller order as
 // fused scans with partitioner-extent pruning only, exactly the
 // pre-planner behaviour (the `optimizer` bench measures the gap).
-// Dataset.Stats exposes the collected summary; the web front end
-// serves the plan as JSON via POST /api/explain, and the Piglet
+// Dataset.Stats exposes the collected summary; the query service
+// serves the plan as JSON via POST /api/v1/explain, and the Piglet
 // dialect gains an EXPLAIN statement whose output is pinned by
 // golden-file tests.
 //
@@ -202,7 +202,12 @@
 // joins the (optionally filtered) dataset against another catalog
 // dataset with any strategy hint and streams the pairs; join results
 // bypass the cache, since each run materialises a fresh result
-// dataset whose fingerprint could never repeat. cmd/starkd is the
+// dataset whose fingerprint could never repeat. The "knn" and
+// "cluster" ops run kNN and DBSCAN over the (optionally filtered)
+// dataset the same way: admitted, traced, uncached, one row per line.
+// Dataset.Filter with a ParsePredicate result is the one mapping from
+// a predicate name to the DSL, shared by the server and Piglet.
+// cmd/starkd is the
 // executable; stark-bench's `service` experiment measures p50/p99
 // latency and hit rate through real HTTP, and its `join` experiment
 // sweeps strategy × layout × selectivity into BENCH_join.json.

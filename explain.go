@@ -35,7 +35,7 @@ type DatasetStats = stats.Summary
 type PartitionStats = stats.PartitionStats
 
 // PlanNode is one operator of an EXPLAIN tree (see Dataset.Explain
-// and the server's /api/explain endpoint).
+// and the server's POST /api/v1/explain endpoint).
 type PlanNode = plan.Node
 
 // compiled is the executable form of a resolved chain: the engine
@@ -546,7 +546,7 @@ func (d *Dataset[V]) Explain() (string, error) {
 }
 
 // ExplainNode is Explain returning the plan tree itself (the
-// /api/explain endpoint serialises it as JSON).
+// /api/v1/explain endpoint serialises it as JSON).
 func (d *Dataset[V]) ExplainNode() (*PlanNode, error) {
 	c, err := d.compiled()
 	if err != nil {

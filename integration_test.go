@@ -184,8 +184,8 @@ func TestServerAgainstAPI(t *testing.T) {
 	events := workload.Events(workload.Config{
 		N: 1_000, Seed: 9, Width: 1000, Height: 1000, TimeRange: 1000,
 	})
-	srv, err := server.New(ctx, events)
-	if err != nil {
+	srv := server.NewService(ctx, server.Options{})
+	if err := srv.RegisterEvents(server.DatasetSpec{Name: server.DefaultDataset}, events); err != nil {
 		t.Fatal(err)
 	}
 	body, _ := json.Marshal(server.QueryRequest{
@@ -194,14 +194,18 @@ func TestServerAgainstAPI(t *testing.T) {
 		HasTime:   true, Begin: 0, End: 1000,
 	})
 	rec := httptest.NewRecorder()
-	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/query", bytes.NewReader(body)))
+	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/v1/query", bytes.NewReader(body)))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
 	}
+	// The last NDJSON line is the summary trailer.
+	lines := bytes.Split(bytes.TrimSpace(rec.Body.Bytes()), []byte("\n"))
 	var resp struct {
-		Count int `json:"count"`
+		Summary struct {
+			Count int `json:"count"`
+		} `json:"summary"`
 	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+	if err := json.Unmarshal(lines[len(lines)-1], &resp); err != nil {
 		t.Fatal(err)
 	}
 
@@ -213,8 +217,8 @@ func TestServerAgainstAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Count != len(hits) {
-		t.Errorf("server %d vs API %d", resp.Count, len(hits))
+	if resp.Summary.Count != len(hits) || len(lines)-1 != len(hits) {
+		t.Errorf("server %d (%d rows) vs API %d", resp.Summary.Count, len(lines)-1, len(hits))
 	}
 	if len(hits) == 0 {
 		t.Error("degenerate comparison")

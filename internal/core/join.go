@@ -166,13 +166,13 @@ func joinRun[V, W any](l *SpatialDataset[V], r *SpatialDataset[W], opts JoinOpti
 			return fmt.Errorf("core: join stats (right): %w", err)
 		}
 		dec := plan.PlanJoinStrategy(plan.JoinPlanInput{
-			Left:            ls,
-			Right:           rs,
-			Expand:          opts.ProbeExpansion,
-			LeftPartitioned: l.sp != nil,
+			Left:             ls,
+			Right:            rs,
+			Expand:           opts.ProbeExpansion,
+			LeftPartitioned:  l.sp != nil,
 			RightPartitioned: r.sp != nil,
-			SamePartitioner: l.sp != nil && l.sp == r.sp,
-			BroadcastBudget: opts.BroadcastBudget,
+			SamePartitioner:  l.sp != nil && l.sp == r.sp,
+			BroadcastBudget:  opts.BroadcastBudget,
 		})
 		rep.Decision = &dec
 		strategy = dec.Strategy

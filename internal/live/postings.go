@@ -47,8 +47,8 @@ func (e *postEntry[V]) visibleAt(gen uint64) bool {
 type fieldPostings[V any] struct {
 	field string
 	get   func(V) attr.Value
-	vals  []attr.Value        // distinct values, sorted ascending
-	lists [][]*postEntry[V]   // lists[i] holds the entries valued vals[i]
+	vals  []attr.Value      // distinct values, sorted ascending
+	lists [][]*postEntry[V] // lists[i] holds the entries valued vals[i]
 	byID  map[int64]*postEntry[V]
 	live  int
 	dead  int

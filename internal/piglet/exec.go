@@ -314,29 +314,15 @@ func (ex *executor) evalOp(st Assign) (*Relation, error) {
 		if err != nil {
 			return nil, err
 		}
-		q, pred, expand, err := compilePredicate(op.Pred, st.Line)
+		q, pred, err := compilePredicate(op.Pred, st.Line)
 		if err != nil {
 			return nil, err
 		}
 		// The filter defers: the predicate joins the chain's pending
 		// set and the cost-based planner compiles consecutive FILTER
 		// statements together at the first materialising action. The
-		// named DSL operators carry the predicate kind into the plan.
-		var nds *stark.Dataset[Row]
-		switch op.Pred.Kind {
-		case "intersects":
-			nds = rel.ds.Intersects(q)
-		case "contains":
-			nds = rel.ds.Contains(q)
-		case "containedby":
-			nds = rel.ds.ContainedBy(q)
-		case "coveredby":
-			nds = rel.ds.CoveredBy(q)
-		case "withindistance":
-			nds = rel.ds.WithinDistance(q, op.Pred.Distance, nil)
-		default:
-			nds = rel.ds.Where(q, pred, expand)
-		}
+		// named DSL filter carries the predicate kind into the plan.
+		nds := rel.ds.Filter(pred, q)
 		return lazy(rel, nds, st.Line), nil
 
 	case AttrFilter:
@@ -579,11 +565,11 @@ func (ex *executor) evalJoin(st Assign, op JoinOp) (*Relation, error) {
 	if err != nil {
 		return nil, err
 	}
-	pred, expand, err := compileJoinPredicate(op.Pred, st.Line)
+	named, err := namedPredicate(op.Pred, st.Line)
 	if err != nil {
 		return nil, err
 	}
-	kind := predKind(op.Pred.Kind)
+	pred, expand := named.Predicate()
 
 	var rep stark.JoinReport
 	joined, err := stark.Join(left.ds, right.ds, stark.JoinOptions{
@@ -607,69 +593,42 @@ func (ex *executor) evalJoin(st Assign, op JoinOp) (*Relation, error) {
 	if dec == nil {
 		dec = &plan.JoinDecision{Strategy: rep.Strategy, BuildRight: !rep.Swapped, EstRows: -1}
 	}
-	node := plan.JoinNode(*dec, plan.Pred{Kind: kind, Expand: expand}, rep.Swapped, left.base, right.base)
+	node := plan.JoinNode(*dec, plan.Pred{Kind: named.Kind(), Expand: expand}, rep.Swapped, left.base, right.base)
 	node.Prop("actual: %s", rep.Summary())
 	return ex.fresh(rows, node, st.Line), nil
 }
 
-// predKind maps a parsed predicate kind to the planner's algebra.
-func predKind(kind string) plan.PredKind {
-	switch kind {
-	case "intersects":
-		return plan.Intersects
-	case "contains":
-		return plan.Contains
-	case "containedby":
-		return plan.ContainedBy
-	case "coveredby":
-		return plan.CoveredBy
-	case "withindistance":
-		return plan.WithinDistance
-	default:
-		return plan.Custom
-	}
-}
-
 // compilePredicate turns a filter predicate literal into a query
-// object, a predicate and a pruning expansion. Errors carry the
-// statement's line number, like relation lookups do.
-func compilePredicate(p Predicate, line int) (stark.STObject, stark.Predicate, float64, error) {
+// object and its named predicate. Errors carry the statement's line
+// number, like relation lookups do.
+func compilePredicate(p Predicate, line int) (stark.STObject, stark.NamedPredicate, error) {
 	g, err := stark.ParseWKT(p.WKT)
 	if err != nil {
-		return stark.STObject{}, nil, 0, fmt.Errorf("piglet: line %d: filter geometry: %w", line, err)
+		return stark.STObject{}, stark.NamedPredicate{}, fmt.Errorf("piglet: line %d: filter geometry: %w", line, err)
 	}
 	var q stark.STObject
 	if p.HasTime {
 		iv, err := stark.NewInterval(stark.Instant(p.Begin), stark.Instant(p.End))
 		if err != nil {
-			return stark.STObject{}, nil, 0, fmt.Errorf("piglet: line %d: filter interval: %w", line, err)
+			return stark.STObject{}, stark.NamedPredicate{}, fmt.Errorf("piglet: line %d: filter interval: %w", line, err)
 		}
 		q = stark.NewSTObjectWithInterval(g, iv)
 	} else {
 		q = stark.NewSTObject(g)
 	}
-	pred, expand, err := compileJoinPredicate(p, line)
+	pred, err := namedPredicate(p, line)
 	if err != nil {
-		return stark.STObject{}, nil, 0, err
+		return stark.STObject{}, stark.NamedPredicate{}, err
 	}
-	return q, pred, expand, nil
+	return q, pred, nil
 }
 
-// compileJoinPredicate resolves a predicate kind; errors carry the
+// namedPredicate resolves a predicate kind; errors carry the
 // statement's line number.
-func compileJoinPredicate(p Predicate, line int) (stark.Predicate, float64, error) {
-	switch p.Kind {
-	case "intersects":
-		return stark.Intersects, 0, nil
-	case "contains":
-		return stark.Contains, 0, nil
-	case "containedby":
-		return stark.ContainedBy, 0, nil
-	case "coveredby":
-		return stark.CoveredBy, 0, nil
-	case "withindistance":
-		return stark.WithinDistancePredicate(p.Distance, nil), p.Distance, nil
-	default:
-		return nil, 0, fmt.Errorf("piglet: line %d: unknown predicate %q", line, p.Kind)
+func namedPredicate(p Predicate, line int) (stark.NamedPredicate, error) {
+	pred, err := stark.ParsePredicate(p.Kind, p.Distance)
+	if err != nil {
+		return stark.NamedPredicate{}, fmt.Errorf("piglet: line %d: %w", line, err)
 	}
+	return pred, nil
 }

@@ -4,6 +4,9 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+
+	"stark"
+	"stark/internal/plan"
 )
 
 // Parse turns a script into statements.
@@ -412,11 +415,11 @@ func (p *parser) attrFilter(input string) (Operator, error) {
 	return AttrFilter{Input: input, Field: strings.ToLower(field.text), Op: op.text, Value: val}, nil
 }
 
-var filterPredicates = map[string]bool{
-	"intersects":  true,
-	"contains":    true,
-	"containedby": true,
-	"coveredby":   true,
+// windowPredicate reports whether kind names a predicate taking an
+// optional time window: every named predicate but withindistance.
+func windowPredicate(kind string) bool {
+	p, err := stark.ParsePredicate(kind, 0)
+	return err == nil && p.Kind() != plan.WithinDistance
 }
 
 // filterPredicate parses KIND('wkt' [, begin, end]) or
@@ -461,7 +464,7 @@ func (p *parser) filterPredicate() (Predicate, error) {
 			pred.HasTime = true
 			pred.Begin, pred.End = int64(b), int64(e)
 		}
-	case filterPredicates[kind]:
+	case windowPredicate(kind):
 		if p.at(tokComma) {
 			p.advance()
 			b, err := p.number()
@@ -502,7 +505,7 @@ func (p *parser) joinPredicate() (Predicate, error) {
 			return Predicate{}, err
 		}
 		return Predicate{Kind: kind, Distance: d}, nil
-	case filterPredicates[kind]:
+	case windowPredicate(kind):
 		return Predicate{Kind: kind}, nil
 	default:
 		return Predicate{}, fmt.Errorf("piglet: line %d: unknown join predicate %q", t.line, t.text)

@@ -13,7 +13,7 @@ import (
 // Node is one operator of an EXPLAIN tree: the logical operation, the
 // planner's cost/cardinality estimates, the decisions taken, and —
 // after execution — actual figures harvested from the engine metrics.
-// Nodes marshal to JSON for the server's /api/explain endpoint.
+// Nodes marshal to JSON for the server's /api/v1/explain endpoint.
 type Node struct {
 	// Op is the logical operator: Scan, Filter, Join, KNN, Cluster,
 	// Partition, Index, Load, ...

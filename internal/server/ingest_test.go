@@ -205,21 +205,13 @@ func TestRecordDeleteEndpoint(t *testing.T) {
 }
 
 // TestStatsReflectMutations is the stale-summary regression gate:
-// /api/stats and the catalog listing must track ingestion instead of
-// reporting registration-time values forever.
+// the dataset summary and the catalog listing must track ingestion
+// instead of reporting registration-time values forever.
 func TestStatsReflectMutations(t *testing.T) {
 	s, _ := mutableService(t, 30, Options{})
 	getStats := func() (events float64, planner map[string]interface{}) {
-		rec := httptest.NewRecorder()
-		s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/api/stats", nil))
-		if rec.Code != http.StatusOK {
-			t.Fatalf("stats status = %d", rec.Code)
-		}
-		var body map[string]interface{}
-		if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
-			t.Fatal(err)
-		}
-		return body["events"].(float64), body["planner"].(map[string]interface{})
+		body := getJSON(t, s, "/api/datasets/default")
+		return body["dataset"].(map[string]interface{})["events"].(float64), body["planner"].(map[string]interface{})
 	}
 
 	events, _ := getStats()
@@ -393,9 +385,9 @@ func TestIngestQueryHammer(t *testing.T) {
 		defer wg.Done()
 		for !writerDone.Load() {
 			rec := httptest.NewRecorder()
-			s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/api/stats", nil))
+			s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/api/datasets/default", nil))
 			if rec.Code != http.StatusOK {
-				fail("stats status %d", rec.Code)
+				fail("dataset summary status %d", rec.Code)
 				return
 			}
 		}

@@ -5,17 +5,15 @@
 // stream NDJSON straight off the engine's fused partition pipelines;
 // repeated queries are served from a plan-fingerprint result cache;
 // and an admission-controlled worker pool bounds concurrent engine
-// work so the service degrades gracefully under load. The original
-// demonstration endpoints (GeoJSON query, kNN, clustering, stats,
-// EXPLAIN) remain, operating on the catalog's "default" dataset, and
-// the embedded single-page UI mirrors the paper's query interface.
+// work so the service degrades gracefully under load. Filters, joins,
+// kNN and DBSCAN all run through the one admitted and traced query
+// endpoint, and the embedded single-page UI over the catalog's
+// "default" dataset mirrors the paper's query interface.
 package server
 
 import (
 	"encoding/json"
 	"fmt"
-	"io"
-	"log"
 	"log/slog"
 	"net/http"
 	"strings"
@@ -24,6 +22,7 @@ import (
 	"stark"
 	"stark/internal/attr"
 	"stark/internal/geom"
+	"stark/internal/plan"
 	"stark/internal/workload"
 )
 
@@ -85,12 +84,7 @@ func NewService(ctx *stark.Context, opts Options) *Server {
 		adm:     NewAdmission(opts.MaxConcurrent, opts.QueueDepth, opts.QueueTimeout),
 		mux:     http.NewServeMux(),
 	}
-	s.mux.HandleFunc("/", s.handleIndex)
-	s.mux.HandleFunc("/api/query", s.handleQuery)
-	s.mux.HandleFunc("/api/knn", s.handleKNN)
-	s.mux.HandleFunc("/api/cluster", s.handleCluster)
-	s.mux.HandleFunc("/api/stats", s.handleStats)
-	s.mux.HandleFunc("/api/explain", s.handleExplain)
+	s.mux.HandleFunc("GET /{$}", s.handleIndex)
 	s.mux.HandleFunc("GET /api/datasets", s.handleDatasetsList)
 	s.mux.HandleFunc("POST /api/datasets", s.handleDatasetsRegister)
 	s.mux.HandleFunc("GET /api/datasets/{name}", s.handleDatasetGet)
@@ -132,23 +126,6 @@ func (s *Server) RegisterEvents(spec DatasetSpec, events []workload.Event) error
 // CacheStats returns a snapshot of the result cache counters — the
 // hook the service benchmark reads hit rates from.
 func (s *Server) CacheStats() CacheStats { return s.cache.Stats() }
-
-// New builds a service pre-loaded with the given events as the
-// "default" dataset — the single-dataset constructor the demo UI and
-// the legacy endpoints rely on.
-func New(ctx *stark.Context, events []workload.Event) (*Server, error) {
-	s := NewService(ctx, Options{})
-	if err := s.catalog.RegisterEvents(ctx, DatasetSpec{Name: DefaultDataset}, events); err != nil {
-		return nil, fmt.Errorf("server: %w", err)
-	}
-	return s, nil
-}
-
-// defaultEntry resolves the legacy endpoints' dataset, writing a 404
-// when it has been dropped.
-func (s *Server) defaultEntry(w http.ResponseWriter) (*catalogEntry, bool) {
-	return s.resolveDataset(w, DefaultDataset)
-}
 
 // ServeHTTP implements http.Handler: every request flows through the
 // observability middleware (request ID, access log, per-route latency
@@ -219,13 +196,15 @@ func (w *WhereClauses) UnmarshalJSON(b []byte) error {
 	return nil
 }
 
-// KNNRequest finds the K events nearest to a point.
+// KNNRequest is the knn op of a service query: the K events nearest
+// to a geometry.
 type KNNRequest struct {
 	WKT string `json:"wkt"`
 	K   int    `json:"k"`
 }
 
-// ClusterRequest runs DBSCAN over the dataset.
+// ClusterRequest is the cluster op of a service query: DBSCAN over
+// the dataset.
 type ClusterRequest struct {
 	Eps    float64 `json:"eps"`
 	MinPts int     `json:"minPts"`
@@ -243,10 +222,6 @@ func writeJSON(w http.ResponseWriter, v interface{}) {
 }
 
 func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Path != "/" {
-		http.NotFound(w, r)
-		return
-	}
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")
 	_, _ = w.Write([]byte(indexHTML))
 }
@@ -266,44 +241,14 @@ func queryObject(req QueryRequest) (stark.STObject, error) {
 	return stark.NewSTObjectWithInterval(g, iv), nil
 }
 
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
-	var req QueryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request: %v", err)
-		return
-	}
-	entry, ok := s.defaultEntry(w)
-	if !ok {
-		return
-	}
-	filtered, err := buildFilterOn(entry.dataset(), req)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	// Compile the chain before committing the response status: chain
-	// and planning errors (bad geometry, failed shuffle) surface here
-	// and still map to an HTTP error code.
-	if err := filtered.Run(); err != nil {
-		httpError(w, http.StatusInternalServerError, "query failed: %v", err)
-		return
-	}
-	streamFeatureCollection(w, filtered)
-}
-
 // eventSchema is the shared attribute schema the where clauses
 // compile against.
 var eventSchema = workload.EventSchema()
 
 // buildFilterOn compiles a QueryRequest into a filter chain over a
-// dataset — shared by the legacy GeoJSON endpoint, the NDJSON
-// service endpoint and both EXPLAIN handlers. Where clauses AND with
-// the spatial predicate; with Where present and WKT empty, the query
-// is attribute-only.
+// dataset — shared by every /api/v1/query op and EXPLAIN. Where
+// clauses AND with the spatial predicate; with Where present and WKT
+// empty, the query is attribute-only.
 func buildFilterOn(ds *stark.Dataset[workload.Event], req QueryRequest) (*stark.Dataset[workload.Event], error) {
 	if len(req.Where) > 0 {
 		var err error
@@ -319,23 +264,24 @@ func buildFilterOn(ds *stark.Dataset[workload.Event], req QueryRequest) (*stark.
 	if err != nil {
 		return nil, fmt.Errorf("bad query: %v", err)
 	}
-	switch strings.ToLower(req.Predicate) {
-	case "intersects", "":
-		return ds.Intersects(q), nil
-	case "contains":
-		return ds.Contains(q), nil
-	case "containedby":
-		return ds.ContainedBy(q), nil
-	case "coveredby":
-		return ds.CoveredBy(q), nil
-	case "withindistance":
-		if req.Distance <= 0 {
-			return nil, fmt.Errorf("withindistance needs distance > 0")
-		}
-		return ds.WithinDistance(q, req.Distance, nil), nil
-	default:
-		return nil, fmt.Errorf("unknown predicate %q", req.Predicate)
+	pred, err := namedPredicate(req.Predicate, req.Distance)
+	if err != nil {
+		return nil, err
 	}
+	return ds.Filter(pred, q), nil
+}
+
+// namedPredicate resolves a request's predicate name ("" selects
+// intersects), rejecting withindistance without a positive distance.
+func namedPredicate(name string, distance float64) (stark.NamedPredicate, error) {
+	if name == "" {
+		name = "intersects"
+	}
+	pred, err := stark.ParsePredicate(name, distance)
+	if err == nil && pred.Kind() == plan.WithinDistance && distance <= 0 {
+		err = fmt.Errorf("withindistance needs distance > 0")
+	}
+	return pred, err
 }
 
 // applyWhere validates each clause against the event schema (so a bad
@@ -400,220 +346,22 @@ func checkWhere(c WhereClause) error {
 	return err
 }
 
-// handleExplain compiles the same filter chain /api/query would run,
-// executes it, and returns the planner's EXPLAIN tree — the chosen
-// index mode, pruned partitions, predicate order, estimated vs actual
-// cardinality — as JSON plus a rendered text form.
-func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
-	var req QueryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request: %v", err)
-		return
-	}
-	entry, ok := s.defaultEntry(w)
-	if !ok {
-		return
-	}
-	filtered, err := buildFilterOn(entry.dataset(), req)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	node, err := filtered.ExplainNode()
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, "explain failed: %v", err)
-		return
-	}
-	writeJSON(w, map[string]interface{}{
-		"plan": node,
-		"text": node.Render(),
-	})
-}
-
-// streamFeatureCollection encodes the query result as a GeoJSON
-// FeatureCollection, writing each feature as it leaves the fused
-// partition pipeline — the result set is never materialised in
-// memory. The status line is committed before the scan runs, so a
-// mid-stream error can only be reported by logging it and leaving the
-// JSON unterminated: the client sees a malformed document instead of
-// a silently truncated result.
-func streamFeatureCollection(w http.ResponseWriter, ds *stark.Dataset[workload.Event]) {
-	w.Header().Set("Content-Type", "application/json")
-	if _, err := io.WriteString(w, `{"type":"FeatureCollection","features":[`); err != nil {
-		log.Printf("server: aborting GeoJSON stream: %v", err)
-		return
-	}
-	count := 0
-	var rowErr error
-	// StreamParallel keeps partition-parallel predicate evaluation
-	// while rows arrive here in partition order; a failed write (the
-	// client hung up) stops the whole pipeline instead of scanning
-	// into a dead socket.
-	err := ds.StreamParallel(func(kv stark.Tuple[workload.Event]) bool {
-		b, err := json.Marshal(feature(kv, nil, nil))
-		if err != nil {
-			rowErr = err
-			return false
-		}
-		if count > 0 {
-			if _, err := io.WriteString(w, ","); err != nil {
-				rowErr = err
-				return false
-			}
-		}
-		if _, err := w.Write(b); err != nil {
-			rowErr = err
-			return false
-		}
-		count++
-		return true
-	})
-	if err == nil {
-		err = rowErr
-	}
-	if err != nil {
-		log.Printf("server: aborting GeoJSON stream after %d features: %v", count, err)
-		return
-	}
-	_, _ = fmt.Fprintf(w, `],"count":%d}`, count)
-}
-
-func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
-	var req KNNRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request: %v", err)
-		return
-	}
-	q, err := stark.FromWKT(req.WKT)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "bad query: %v", err)
-		return
-	}
-	if req.K <= 0 {
-		httpError(w, http.StatusBadRequest, "k must be >= 1")
-		return
-	}
-	entry, ok := s.defaultEntry(w)
-	if !ok {
-		return
-	}
-	nbrs, err := entry.dataset().KNNContext(r.Context(), q, req.K)
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, "knn failed: %v", err)
-		return
-	}
-	hits := make([]stark.Tuple[workload.Event], len(nbrs))
-	dists := make([]float64, len(nbrs))
-	for i, nb := range nbrs {
-		hits[i] = stark.NewTuple(nb.Key, nb.Value)
-		dists[i] = nb.Distance
-	}
-	writeJSON(w, featureCollection(hits, dists, nil))
-}
-
-func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
-	var req ClusterRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request: %v", err)
-		return
-	}
-	entry, ok := s.defaultEntry(w)
-	if !ok {
-		return
-	}
-	recs, n, err := entry.dataset().Cluster(stark.ClusterOptions{Eps: req.Eps, MinPts: req.MinPts})
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "cluster failed: %v", err)
-		return
-	}
-	hits := make([]stark.Tuple[workload.Event], len(recs))
-	labels := make([]int, len(recs))
-	for i, rec := range recs {
-		hits[i] = stark.NewTuple(rec.Key, rec.Value)
-		labels[i] = rec.Cluster
-	}
-	fc := featureCollection(hits, nil, labels)
-	fc["numClusters"] = n
-	writeJSON(w, fc)
-}
-
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	// Immutable datasets answer from the count and planner statistics
-	// computed at registration; mutable ones recompute lazily off the
-	// live generation (a copy of the incrementally maintained summary,
-	// never a rescan), so this endpoint reflects every ingest batch.
-	entry, ok := s.defaultEntry(w)
-	if !ok {
-		return
-	}
-	summary, events := entry.stats()
-	snap := s.ctx.Metrics().Snapshot()
-	writeJSON(w, map[string]interface{}{
-		"events":          events,
-		"partitions":      len(summary.Parts),
-		"parallelism":     s.ctx.Parallelism(),
-		"tasksLaunched":   snap.TasksLaunched,
-		"tasksSkipped":    snap.TasksSkipped,
-		"elementsScanned": snap.ElementsScanned,
-		"statsRecords":    snap.StatsRecords,
-		"planner":         summary,
-		"cache":           s.cache.Stats(),
-		"admission":       s.adm.Stats(),
-	})
-}
-
-// feature renders one event as a GeoJSON feature. dist and label
-// optionally add distance / cluster properties.
-func feature(kv stark.Tuple[workload.Event], dist *float64, label *int) map[string]interface{} {
-	props := map[string]interface{}{
-		"id":       kv.Value.ID,
-		"category": kv.Value.Category,
-		"time":     kv.Value.Time,
-	}
-	if dist != nil {
-		props["distance"] = *dist
-	}
-	if label != nil {
-		props["cluster"] = *label
-	}
+// feature renders one record as a GeoJSON feature with the given
+// properties.
+func feature(key stark.STObject, props map[string]interface{}) map[string]interface{} {
 	return map[string]interface{}{
 		"type":       "Feature",
-		"geometry":   geometryJSON(kv.Key.Geo()),
+		"geometry":   geometryJSON(key.Geo()),
 		"properties": props,
 	}
 }
 
-// featureCollection renders events as GeoJSON. dists and labels are
-// optional parallel slices adding distance / cluster properties.
-func featureCollection(hits []stark.Tuple[workload.Event], dists []float64, labels []int) map[string]interface{} {
-	features := make([]map[string]interface{}, 0, len(hits))
-	for i, kv := range hits {
-		var dist *float64
-		if dists != nil {
-			dist = &dists[i]
-		}
-		var label *int
-		if labels != nil {
-			label = &labels[i]
-		}
-		features = append(features, feature(kv, dist, label))
-	}
+// eventProps renders an event's fields as feature properties.
+func eventProps(e workload.Event) map[string]interface{} {
 	return map[string]interface{}{
-		"type":     "FeatureCollection",
-		"features": features,
-		"count":    len(hits),
+		"id":       e.ID,
+		"category": e.Category,
+		"time":     e.Time,
 	}
 }
 
@@ -691,7 +439,7 @@ pre { background: #f4f4f4; padding: 1rem; overflow: auto; max-height: 24rem; }
 <label><input type="checkbox" id="hasTime"> Time window</label>
 <label>begin <input id="begin" value="0" size="10"></label>
 <label>end <input id="end" value="1000000" size="10"></label><br>
-<button onclick="query()">Run filter</button>
+<button onclick="filterRun()">Run filter</button>
 <button onclick="explain()">Explain</button>
 </fieldset>
 <fieldset>
@@ -710,9 +458,15 @@ pre { background: #f4f4f4; padding: 1rem; overflow: auto; max-height: 24rem; }
 <h2>Result</h2>
 <pre id="out">–</pre>
 <script>
-async function post(url, body) {
-  const r = await fetch(url, {method: 'POST', body: JSON.stringify(body)});
-  document.getElementById('out').textContent = JSON.stringify(await r.json(), null, 2);
+function show(text) { document.getElementById('out').textContent = text; }
+async function query(body) {
+  const r = await fetch('/api/v1/query', {method: 'POST', body: JSON.stringify(body)});
+  const text = await r.text();
+  if (!r.ok) { show(text); return; }
+  // NDJSON: one feature per line, then the summary trailer.
+  const lines = text.trim().split('\n').map(l => JSON.parse(l));
+  const summary = lines.pop();
+  show(JSON.stringify(summary, null, 2) + '\n' + lines.map(l => JSON.stringify(l)).join('\n'));
 }
 function filterBody() {
   return {
@@ -725,35 +479,26 @@ function filterBody() {
   };
 }
 async function explain() {
-  const r = await fetch('/api/explain', {method: 'POST', body: JSON.stringify(filterBody())});
+  const r = await fetch('/api/v1/explain', {method: 'POST', body: JSON.stringify(filterBody())});
   const j = await r.json();
-  document.getElementById('out').textContent = j.text || JSON.stringify(j, null, 2);
+  show(j.text || JSON.stringify(j, null, 2));
 }
-function query() {
-  post('/api/query', {
-    predicate: document.getElementById('predicate').value,
-    wkt: document.getElementById('wkt').value,
-    hasTime: document.getElementById('hasTime').checked,
-    begin: parseInt(document.getElementById('begin').value),
-    end: parseInt(document.getElementById('end').value),
-    distance: parseFloat(document.getElementById('distance').value),
-  });
-}
+function filterRun() { query(filterBody()); }
 function knn() {
-  post('/api/knn', {
+  query({knn: {
     wkt: document.getElementById('knnwkt').value,
     k: parseInt(document.getElementById('k').value),
-  });
+  }});
 }
 function clusterRun() {
-  post('/api/cluster', {
+  query({cluster: {
     eps: parseFloat(document.getElementById('eps').value),
     minPts: parseInt(document.getElementById('minpts').value),
-  });
+  }});
 }
 async function stats() {
-  const r = await fetch('/api/stats');
-  document.getElementById('out').textContent = JSON.stringify(await r.json(), null, 2);
+  const r = await fetch('/api/datasets/default');
+  show(JSON.stringify(await r.json(), null, 2));
 }
 </script>
 </body>

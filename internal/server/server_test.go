@@ -15,11 +15,7 @@ import (
 
 func testServer(t *testing.T, n int) *Server {
 	t.Helper()
-	events := workload.Events(workload.Config{N: n, Seed: 11, Width: 100, Height: 100, TimeRange: 1000})
-	s, err := New(engine.NewContext(4), events)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s, _ := testService(t, n, Options{})
 	return s
 }
 
@@ -39,6 +35,25 @@ func postJSON(t *testing.T, s *Server, path string, body interface{}) (*httptest
 	return rec, out
 }
 
+func getJSON(t *testing.T, s *Server, path string) map[string]interface{} {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("GET %s: status = %d: %s", path, rec.Code, rec.Body.String())
+	}
+	var out map[string]interface{}
+	if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
+		t.Fatalf("GET %s: bad JSON response %q: %v", path, rec.Body.String(), err)
+	}
+	return out
+}
+
+// v1Filter addresses a filter to the default dataset.
+func v1Filter(q QueryRequest) ServiceQueryRequest {
+	return ServiceQueryRequest{QueryRequest: q}
+}
+
 func TestIndexPage(t *testing.T) {
 	s := testServer(t, 10)
 	req := httptest.NewRequest(http.MethodGet, "/", nil)
@@ -47,8 +62,20 @@ func TestIndexPage(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d", rec.Code)
 	}
-	if !strings.Contains(rec.Body.String(), "STARK") {
+	page := rec.Body.String()
+	if !strings.Contains(page, "STARK") {
 		t.Error("index page missing title")
+	}
+	// The UI talks to the one query surface only.
+	for _, want := range []string{"'/api/v1/query'", "'/api/v1/explain'", "'/api/datasets/default'"} {
+		if !strings.Contains(page, want) {
+			t.Errorf("index page does not call %s", want)
+		}
+	}
+	for _, gone := range legacyRoutes {
+		if strings.Contains(page, "'"+gone+"'") {
+			t.Errorf("index page still calls %s", gone)
+		}
 	}
 	// Unknown paths 404.
 	rec = httptest.NewRecorder()
@@ -60,23 +87,22 @@ func TestIndexPage(t *testing.T) {
 
 func TestQueryEndpointSpatioTemporal(t *testing.T) {
 	s := testServer(t, 300)
-	rec, out := postJSON(t, s, "/api/query", QueryRequest{
+	rec := postV1Query(t, s, v1Filter(QueryRequest{
 		Predicate: "containedby",
 		WKT:       "POLYGON ((0 0, 100 0, 100 100, 0 100, 0 0))",
 		HasTime:   true,
 		Begin:     0,
 		End:       500,
-	})
+	}))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d body=%s", rec.Code, rec.Body.String())
 	}
-	count := int(out["count"].(float64))
-	if count == 0 || count == 300 {
+	feats, sum := ndjsonResponse(t, rec.Body.Bytes())
+	if count := sum.Count; count == 0 || count == 300 {
 		t.Errorf("count = %d, want a proper temporal subset", count)
 	}
-	feats := out["features"].([]interface{})
 	for _, f := range feats {
-		props := f.(map[string]interface{})["properties"].(map[string]interface{})
+		props := f["properties"].(map[string]interface{})
 		if props["time"].(float64) > 500 {
 			t.Fatal("temporal window violated")
 		}
@@ -85,23 +111,23 @@ func TestQueryEndpointSpatioTemporal(t *testing.T) {
 
 func TestQueryEndpointWithinDistance(t *testing.T) {
 	s := testServer(t, 200)
-	rec, out := postJSON(t, s, "/api/query", QueryRequest{
+	rec := postV1Query(t, s, v1Filter(QueryRequest{
 		Predicate: "withindistance",
 		WKT:       "POINT (50 50)",
 		HasTime:   true,
 		Begin:     0, End: 1000,
 		Distance: 30,
-	})
+	}))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d", rec.Code)
 	}
-	if int(out["count"].(float64)) == 0 {
+	if _, sum := ndjsonResponse(t, rec.Body.Bytes()); sum.Count == 0 {
 		t.Error("no results within 30 of center")
 	}
 	// Missing distance errors.
-	rec, _ = postJSON(t, s, "/api/query", QueryRequest{
+	rec = postV1Query(t, s, v1Filter(QueryRequest{
 		Predicate: "withindistance", WKT: "POINT (0 0)",
-	})
+	}))
 	if rec.Code != http.StatusBadRequest {
 		t.Errorf("missing distance status = %d", rec.Code)
 	}
@@ -109,27 +135,27 @@ func TestQueryEndpointWithinDistance(t *testing.T) {
 
 func TestQueryEndpointErrors(t *testing.T) {
 	s := testServer(t, 10)
-	rec, _ := postJSON(t, s, "/api/query", QueryRequest{Predicate: "nope", WKT: "POINT (0 0)"})
+	rec := postV1Query(t, s, v1Filter(QueryRequest{Predicate: "nope", WKT: "POINT (0 0)"}))
 	if rec.Code != http.StatusBadRequest {
 		t.Errorf("bad predicate status = %d", rec.Code)
 	}
-	rec, _ = postJSON(t, s, "/api/query", QueryRequest{WKT: "BAD"})
+	rec = postV1Query(t, s, v1Filter(QueryRequest{WKT: "BAD"}))
 	if rec.Code != http.StatusBadRequest {
 		t.Errorf("bad wkt status = %d", rec.Code)
 	}
-	rec, _ = postJSON(t, s, "/api/query", QueryRequest{WKT: "POINT (0 0)", HasTime: true, Begin: 9, End: 1})
+	rec = postV1Query(t, s, v1Filter(QueryRequest{WKT: "POINT (0 0)", HasTime: true, Begin: 9, End: 1}))
 	if rec.Code != http.StatusBadRequest {
 		t.Errorf("inverted interval status = %d", rec.Code)
 	}
 	// GET not allowed.
 	rec2 := httptest.NewRecorder()
-	s.ServeHTTP(rec2, httptest.NewRequest(http.MethodGet, "/api/query", nil))
+	s.ServeHTTP(rec2, httptest.NewRequest(http.MethodGet, "/api/v1/query", nil))
 	if rec2.Code != http.StatusMethodNotAllowed {
 		t.Errorf("GET status = %d", rec2.Code)
 	}
 	// Malformed JSON.
 	rec3 := httptest.NewRecorder()
-	s.ServeHTTP(rec3, httptest.NewRequest(http.MethodPost, "/api/query", strings.NewReader("{")))
+	s.ServeHTTP(rec3, httptest.NewRequest(http.MethodPost, "/api/v1/query", strings.NewReader("{")))
 	if rec3.Code != http.StatusBadRequest {
 		t.Errorf("bad json status = %d", rec3.Code)
 	}
@@ -137,28 +163,31 @@ func TestQueryEndpointErrors(t *testing.T) {
 
 func TestKNNEndpoint(t *testing.T) {
 	s := testServer(t, 200)
-	rec, out := postJSON(t, s, "/api/knn", KNNRequest{WKT: "POINT (50 50)", K: 5})
+	rec := postV1Query(t, s, ServiceQueryRequest{KNN: &KNNRequest{WKT: "POINT (50 50)", K: 5}})
 	if rec.Code != http.StatusOK {
-		t.Fatalf("status = %d", rec.Code)
+		t.Fatalf("status = %d: %s", rec.Code, rec.Body.String())
 	}
-	feats := out["features"].([]interface{})
-	if len(feats) != 5 {
-		t.Fatalf("features = %d", len(feats))
+	if got := rec.Header().Get("X-Stark-Cache"); got != "bypass" {
+		t.Errorf("X-Stark-Cache = %q, want bypass", got)
+	}
+	feats, sum := ndjsonResponse(t, rec.Body.Bytes())
+	if len(feats) != 5 || sum.Count != 5 || sum.Cache != "bypass" {
+		t.Fatalf("features = %d, summary = %+v", len(feats), sum)
 	}
 	// Distances present and ascending.
 	prev := -1.0
 	for _, f := range feats {
-		d := f.(map[string]interface{})["properties"].(map[string]interface{})["distance"].(float64)
+		d := f["properties"].(map[string]interface{})["distance"].(float64)
 		if d < prev {
 			t.Fatal("distances not ascending")
 		}
 		prev = d
 	}
-	rec, _ = postJSON(t, s, "/api/knn", KNNRequest{WKT: "POINT (0 0)", K: 0})
+	rec = postV1Query(t, s, ServiceQueryRequest{KNN: &KNNRequest{WKT: "POINT (0 0)", K: 0}})
 	if rec.Code != http.StatusBadRequest {
 		t.Errorf("k=0 status = %d", rec.Code)
 	}
-	rec, _ = postJSON(t, s, "/api/knn", KNNRequest{WKT: "JUNK", K: 1})
+	rec = postV1Query(t, s, ServiceQueryRequest{KNN: &KNNRequest{WKT: "JUNK", K: 1}})
 	if rec.Code != http.StatusBadRequest {
 		t.Errorf("bad wkt status = %d", rec.Code)
 	}
@@ -166,22 +195,22 @@ func TestKNNEndpoint(t *testing.T) {
 
 func TestClusterEndpoint(t *testing.T) {
 	s := testServer(t, 300)
-	rec, out := postJSON(t, s, "/api/cluster", ClusterRequest{Eps: 5, MinPts: 4})
+	rec := postV1Query(t, s, ServiceQueryRequest{Cluster: &ClusterRequest{Eps: 5, MinPts: 4}})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d body=%s", rec.Code, rec.Body.String())
 	}
-	if _, ok := out["numClusters"]; !ok {
-		t.Error("missing numClusters")
+	feats, sum := ndjsonResponse(t, rec.Body.Bytes())
+	if sum.Clusters == nil {
+		t.Error("summary missing the cluster count")
 	}
-	feats := out["features"].([]interface{})
-	if len(feats) != 300 {
-		t.Errorf("features = %d", len(feats))
+	if len(feats) != 300 || sum.Count != 300 {
+		t.Errorf("features = %d, summary count = %d", len(feats), sum.Count)
 	}
-	props := feats[0].(map[string]interface{})["properties"].(map[string]interface{})
+	props := feats[0]["properties"].(map[string]interface{})
 	if _, ok := props["cluster"]; !ok {
 		t.Error("missing cluster label")
 	}
-	rec, _ = postJSON(t, s, "/api/cluster", ClusterRequest{Eps: -1, MinPts: 4})
+	rec = postV1Query(t, s, ServiceQueryRequest{Cluster: &ClusterRequest{Eps: -1, MinPts: 4}})
 	if rec.Code != http.StatusBadRequest {
 		t.Errorf("bad eps status = %d", rec.Code)
 	}
@@ -189,23 +218,19 @@ func TestClusterEndpoint(t *testing.T) {
 
 func TestStatsEndpoint(t *testing.T) {
 	s := testServer(t, 50)
-	rec := httptest.NewRecorder()
-	s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/api/stats", nil))
-	if rec.Code != http.StatusOK {
-		t.Fatalf("status = %d", rec.Code)
+	out := getJSON(t, s, "/api/datasets/default")
+	if events := out["dataset"].(map[string]interface{})["events"]; events != 50.0 {
+		t.Errorf("events = %v", events)
 	}
-	var out map[string]interface{}
-	if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
-		t.Fatal(err)
-	}
-	if int(out["events"].(float64)) != 50 {
-		t.Errorf("events = %v", out["events"])
+	if p := getJSON(t, s, "/api/service")["parallelism"]; p != 4.0 {
+		t.Errorf("parallelism = %v, want 4", p)
 	}
 }
 
 func TestNewRejectsBadWKT(t *testing.T) {
 	events := []workload.Event{{ID: 1, WKT: "NOT WKT"}}
-	if _, err := New(engine.NewContext(2), events); err == nil {
+	s := NewService(engine.NewContext(2), Options{})
+	if err := s.RegisterEvents(DatasetSpec{Name: DefaultDataset}, events); err == nil {
 		t.Error("bad events must fail")
 	}
 }
@@ -234,49 +259,51 @@ func TestGeometryJSONShapes(t *testing.T) {
 	}
 }
 
-// TestQueryEndpointStreamsValidGeoJSON pins the streaming encoder: the
-// response must be one well-formed document whose trailing count
-// matches the number of streamed features, including the empty-result
-// edge (no features at all).
+// TestQueryEndpointStreamsValidGeoJSON pins the streaming encoder:
+// every line must be a well-formed GeoJSON feature and the trailing
+// count must match the number of streamed features, including the
+// empty-result edge (a summary line and nothing else).
 func TestQueryEndpointStreamsValidGeoJSON(t *testing.T) {
 	s := testServer(t, 150)
-	rec, out := postJSON(t, s, "/api/query", QueryRequest{
+	rec := postV1Query(t, s, v1Filter(QueryRequest{
 		Predicate: "intersects",
 		WKT:       "POLYGON ((0 0, 100 0, 100 100, 0 100, 0 0))",
-	})
+	}))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d", rec.Code)
 	}
-	feats := out["features"].([]interface{})
-	if int(out["count"].(float64)) != len(feats) {
-		t.Errorf("count %v != %d streamed features", out["count"], len(feats))
+	feats, sum := ndjsonResponse(t, rec.Body.Bytes())
+	if int(sum.Count) != len(feats) {
+		t.Errorf("count %d != %d streamed features", sum.Count, len(feats))
 	}
-	if out["type"] != "FeatureCollection" {
-		t.Errorf("type = %v", out["type"])
+	for _, f := range feats {
+		if f["type"] != "Feature" || f["geometry"] == nil {
+			t.Fatalf("not a GeoJSON feature: %v", f)
+		}
 	}
 
-	// Empty result: still valid JSON with count 0.
-	rec, out = postJSON(t, s, "/api/query", QueryRequest{
+	// Empty result: still valid NDJSON with count 0.
+	rec = postV1Query(t, s, v1Filter(QueryRequest{
 		Predicate: "intersects",
 		WKT:       "POLYGON ((900 900, 910 900, 910 910, 900 910, 900 900))",
-	})
+	}))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("empty-result status = %d", rec.Code)
 	}
-	if int(out["count"].(float64)) != 0 || len(out["features"].([]interface{})) != 0 {
-		t.Errorf("empty result rendered as %v", out)
+	if feats, sum := ndjsonResponse(t, rec.Body.Bytes()); sum.Count != 0 || len(feats) != 0 {
+		t.Errorf("empty result rendered as %q", rec.Body.String())
 	}
 }
 
 func TestExplainEndpoint(t *testing.T) {
 	s := testServer(t, 300)
-	rec, out := postJSON(t, s, "/api/explain", QueryRequest{
+	rec, out := postJSON(t, s, "/api/v1/explain", v1Filter(QueryRequest{
 		Predicate: "intersects",
 		WKT:       "POLYGON ((10 10, 40 10, 40 40, 10 40, 10 10))",
 		HasTime:   true,
 		Begin:     0,
 		End:       1000,
-	})
+	}))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d body=%s", rec.Code, rec.Body.String())
 	}
@@ -296,11 +323,11 @@ func TestExplainEndpoint(t *testing.T) {
 
 	// GET is rejected; bad WKT maps to a 400.
 	rec2 := httptest.NewRecorder()
-	s.ServeHTTP(rec2, httptest.NewRequest(http.MethodGet, "/api/explain", nil))
+	s.ServeHTTP(rec2, httptest.NewRequest(http.MethodGet, "/api/v1/explain", nil))
 	if rec2.Code != http.StatusMethodNotAllowed {
 		t.Errorf("GET status = %d", rec2.Code)
 	}
-	rec3, _ := postJSON(t, s, "/api/explain", QueryRequest{WKT: "NOT WKT"})
+	rec3, _ := postJSON(t, s, "/api/v1/explain", v1Filter(QueryRequest{WKT: "NOT WKT"}))
 	if rec3.Code != http.StatusBadRequest {
 		t.Errorf("bad WKT status = %d", rec3.Code)
 	}
@@ -309,29 +336,18 @@ func TestExplainEndpoint(t *testing.T) {
 func TestStatsComputedOnce(t *testing.T) {
 	s := testServer(t, 200)
 	launched0 := s.ctx.Metrics().Snapshot().TasksLaunched
-	var events float64
 	for i := 0; i < 3; i++ {
-		req := httptest.NewRequest(http.MethodGet, "/api/stats", nil)
-		rec := httptest.NewRecorder()
-		s.ServeHTTP(rec, req)
-		if rec.Code != http.StatusOK {
-			t.Fatalf("status = %d", rec.Code)
-		}
-		var out map[string]interface{}
-		if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
-			t.Fatal(err)
-		}
-		events = out["events"].(float64)
-		if events != 200 {
+		out := getJSON(t, s, "/api/datasets/default")
+		if events := out["dataset"].(map[string]interface{})["events"]; events != 200.0 {
 			t.Errorf("events = %v", events)
 		}
 		if _, ok := out["planner"].(map[string]interface{}); !ok {
-			t.Error("stats response missing planner summary")
+			t.Error("dataset response missing planner summary")
 		}
 	}
-	// Serving stats launches no tasks: the count and summary were
-	// computed at construction, not per request.
+	// Serving the summary launches no tasks: the count and planner
+	// statistics were computed at registration, not per request.
 	if launched := s.ctx.Metrics().Snapshot().TasksLaunched; launched != launched0 {
-		t.Errorf("stats requests launched %d tasks", launched-launched0)
+		t.Errorf("dataset summary requests launched %d tasks", launched-launched0)
 	}
 }

@@ -1,27 +1,33 @@
 package server
 
-// The multi-dataset query service endpoints (the /api/v1 and catalog
-// surface):
+// The query service endpoints:
 //
-//	GET    /api/datasets          list registered datasets
-//	POST   /api/datasets          register (build + publish) a dataset
-//	GET    /api/datasets/{name}   one dataset's summary
-//	DELETE /api/datasets/{name}   drop a dataset
-//	POST   /api/v1/query          filter query, streaming NDJSON
-//	POST   /api/v1/explain        EXPLAIN with fingerprint/cache state
-//	GET    /api/service           cache + admission statistics
+//	GET    /                       the demonstration UI
+//	GET    /api/datasets           list registered datasets
+//	POST   /api/datasets           register (build + publish) a dataset
+//	GET    /api/datasets/{name}    one dataset's summary and planner statistics
+//	DELETE /api/datasets/{name}    drop a dataset
+//	POST   /api/v1/query           filter, join, kNN or DBSCAN, streaming NDJSON
+//	POST   /api/v1/explain         EXPLAIN with fingerprint/cache state
+//	POST   /api/v1/ingest          append/delete records of a mutable dataset
+//	DELETE /api/v1/datasets/{name}/records/{id}
+//	GET    /api/service            cache, admission and engine statistics
+//	GET    /metrics                Prometheus exposition
 //
 // /api/v1/query responds with application/x-ndjson: one GeoJSON
 // feature per line, pulled straight off the engine's fused partition
 // pipelines, followed by a single summary line
 //
-//	{"summary":{"dataset":...,"count":N,"cache":"hit|miss","fingerprint":...}}
+//	{"summary":{"dataset":...,"count":N,"cache":"hit|miss|bypass","fingerprint":...}}
 //
-// Results are cached under the chain's plan fingerprint: a repeated
-// identical query is served from the stored bytes without scheduling
-// any engine work (the X-Stark-Cache header says which path served
-// the response). Cache misses pass through admission control; hits
-// bypass it.
+// A plain filter's results are cached under the chain's plan
+// fingerprint: a repeated identical query is served from the stored
+// bytes without scheduling any engine work (the X-Stark-Cache header
+// says which path served the response). Cache misses pass through
+// admission control; hits bypass it. A request carrying one of the
+// ops "join", "knn" or "cluster" runs that op over the (optionally
+// filtered) dataset instead: it always passes admission and bypasses
+// the cache.
 
 import (
 	"bytes"
@@ -40,24 +46,54 @@ import (
 	"stark/internal/workload"
 )
 
-// DefaultDataset is the catalog name the single-dataset constructor
-// and the legacy endpoints use.
+// DefaultDataset is the catalog name a request without a dataset
+// addresses — the dataset the demonstration UI and starkd's -events
+// flag use.
 const DefaultDataset = "default"
 
 // ServiceQueryRequest is a QueryRequest addressed to a named catalog
-// dataset ("" selects DefaultDataset). A non-nil Join turns the
-// request into a spatio-temporal join: the (optionally filtered)
-// dataset is joined against another catalog dataset and the matching
-// pairs stream back as NDJSON.
+// dataset ("" selects DefaultDataset). At most one of the ops Join,
+// KNN and Cluster may be set; each runs over the dataset after the
+// request's filter (when any filter field is set) and streams its
+// rows back as NDJSON. Without an op the request is a plain filter.
 type ServiceQueryRequest struct {
 	Dataset string `json:"dataset"`
 	QueryRequest
-	Join *JoinSpec `json:"join,omitempty"`
+	Join    *JoinSpec       `json:"join,omitempty"`
+	KNN     *KNNRequest     `json:"knn,omitempty"`
+	Cluster *ClusterRequest `json:"cluster,omitempty"`
 	// Trace requests an execution trace: the summary line gains a
 	// "trace" object (plan phases, wall times, per-query engine
 	// counters). Traced requests bypass the result cache in both
 	// directions, so the trace always describes a real execution.
 	Trace bool `json:"trace,omitempty"`
+}
+
+// op names the request's op ("" for a plain filter), or errors when
+// more than one is set.
+func (req ServiceQueryRequest) op() (string, error) {
+	var ops []string
+	if req.Join != nil {
+		ops = append(ops, "join")
+	}
+	if req.KNN != nil {
+		ops = append(ops, "knn")
+	}
+	if req.Cluster != nil {
+		ops = append(ops, "cluster")
+	}
+	switch len(ops) {
+	case 0:
+		return "", nil
+	case 1:
+		return ops[0], nil
+	}
+	return "", fmt.Errorf("set at most one of join, knn and cluster, not %s", strings.Join(ops, " and "))
+}
+
+// hasFilter reports whether any filter field is set.
+func (req QueryRequest) hasFilter() bool {
+	return req.WKT != "" || req.Predicate != "" || req.HasTime || req.Distance != 0 || len(req.Where) > 0
 }
 
 // JoinSpec describes the join clause of a service query.
@@ -81,28 +117,11 @@ type joinRow = stark.JoinRow[workload.Event, workload.Event]
 // buildJoinOn compiles a JoinSpec into a join chain over the two
 // datasets, returning the chain and the report its execution fills.
 func buildJoinOn(left *stark.Dataset[workload.Event], right *stark.Dataset[workload.Event], spec *JoinSpec) (*stark.Dataset[joinRow], *stark.JoinReport, error) {
-	var (
-		pred   stark.Predicate
-		expand float64
-	)
-	switch strings.ToLower(spec.Predicate) {
-	case "intersects", "":
-		pred = stark.Intersects
-	case "contains":
-		pred = stark.Contains
-	case "containedby":
-		pred = stark.ContainedBy
-	case "coveredby":
-		pred = stark.CoveredBy
-	case "withindistance":
-		if spec.Distance <= 0 {
-			return nil, nil, fmt.Errorf("join withindistance needs distance > 0")
-		}
-		pred = stark.WithinDistancePredicate(spec.Distance, nil)
-		expand = spec.Distance
-	default:
-		return nil, nil, fmt.Errorf("unknown join predicate %q", spec.Predicate)
+	named, err := namedPredicate(spec.Predicate, spec.Distance)
+	if err != nil {
+		return nil, nil, fmt.Errorf("join %w", err)
 	}
+	pred, expand := named.Predicate()
 	var strategy stark.JoinStrategy
 	switch strings.ToLower(spec.Strategy) {
 	case "auto", "":
@@ -127,29 +146,37 @@ func buildJoinOn(left *stark.Dataset[workload.Event], right *stark.Dataset[workl
 	return ds, rep, nil
 }
 
-// joinChain resolves both sides of a join request and builds the
-// chain: the request's filter (when present) applies to the left
-// side before the join.
-func (s *Server) joinChain(w http.ResponseWriter, req ServiceQueryRequest) (*stark.Dataset[joinRow], *stark.JoinReport, *catalogEntry, bool) {
+// source resolves the dataset a service query addresses and applies
+// the request's filter whenever any filter field is set — a
+// constraint a plain filter would reject (a temporal window without a
+// geometry) must error for every op too, not be dropped. Errors are
+// written to w.
+func (s *Server) source(w http.ResponseWriter, req ServiceQueryRequest) (*stark.Dataset[workload.Event], *catalogEntry, bool) {
 	entry, ok := s.resolveDataset(w, req.Dataset)
+	if !ok {
+		return nil, nil, false
+	}
+	ds := entry.dataset()
+	if req.hasFilter() {
+		var err error
+		if ds, err = buildFilterOn(ds, req.QueryRequest); err != nil {
+			httpError(w, http.StatusBadRequest, "%v", err)
+			return nil, nil, false
+		}
+	}
+	return ds, entry, true
+}
+
+// joinChain resolves both sides of a join request and builds the
+// chain: the request's filter applies to the left side.
+func (s *Server) joinChain(w http.ResponseWriter, req ServiceQueryRequest) (*stark.Dataset[joinRow], *stark.JoinReport, *catalogEntry, bool) {
+	left, entry, ok := s.source(w, req)
 	if !ok {
 		return nil, nil, nil, false
 	}
 	rightEntry, ok := s.resolveDataset(w, req.Join.With)
 	if !ok {
 		return nil, nil, nil, false
-	}
-	left := entry.dataset()
-	// Apply the request's filter whenever any filter field is set —
-	// a constraint the non-join path would reject (temporal window
-	// without a geometry) must error here too, not be dropped.
-	if req.WKT != "" || req.Predicate != "" || req.HasTime || req.Distance != 0 {
-		var err error
-		left, err = buildFilterOn(left, req.QueryRequest)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, "%v", err)
-			return nil, nil, nil, false
-		}
 	}
 	chain, rep, err := buildJoinOn(left, rightEntry.dataset(), req.Join)
 	if err != nil {
@@ -181,7 +208,7 @@ func (s *Server) acquireAdmission(w http.ResponseWriter, r *http.Request) bool {
 	return false
 }
 
-// handleJoinQuery executes the join clause of a service query and
+// handleJoinQuery executes the join op of a service query and
 // streams the matching pairs as NDJSON: one GeoJSON feature per line
 // (the left record's geometry) with the right record folded into the
 // properties. Join results are not result-cached — a join
@@ -205,49 +232,169 @@ func (s *Server) handleJoinQuery(w http.ResponseWriter, r *http.Request, req Ser
 		httpError(w, http.StatusInternalServerError, "join failed: %v", err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("X-Stark-Cache", "bypass")
-	var (
-		count  int64
-		rowErr error
-	)
+	rw := startRows(w, "bypass", false, 0)
 	err := chain.StreamParallelContext(r.Context(), func(kv stark.Tuple[joinRow]) bool {
-		f := feature(stark.NewTuple(kv.Key, kv.Value.Left), nil, nil)
-		f["properties"].(map[string]interface{})["right"] = map[string]interface{}{
-			"id":       kv.Value.Right.ID,
-			"category": kv.Value.Right.Category,
-			"time":     kv.Value.Right.Time,
-		}
-		line, err := json.Marshal(f)
-		if err != nil {
-			rowErr = err
-			return false
-		}
-		line = append(line, '\n')
-		if _, err := w.Write(line); err != nil {
-			rowErr = err
-			return false
-		}
-		count++
-		return true
+		props := eventProps(kv.Value.Left)
+		props["right"] = eventProps(kv.Value.Right)
+		return rw.write(kv.Key, props)
 	})
-	if err == nil {
-		err = rowErr
-	}
-	if err != nil {
-		log.Printf("server: aborting join NDJSON stream after %d rows: %v", count, err)
+	rw.finish(r, err, ndjsonSummary{
+		Dataset: entry.spec.Name, Cache: "bypass", Strategy: rep.Strategy.String(),
+	}, chain.Trace(), req.Trace)
+}
+
+// featureRow is one record an action op streams: its key and its
+// feature properties.
+type featureRow = stark.Tuple[map[string]interface{}]
+
+// serveAction runs an action op (kNN, DBSCAN) over the request's
+// dataset under admission and streams the rows it returns, uncached;
+// clusters, when non-nil, goes into the summary.
+func (s *Server) serveAction(w http.ResponseWriter, r *http.Request, req ServiceQueryRequest, op string,
+	action func(ds *stark.Dataset[workload.Event]) (rows []featureRow, clusters *int, err error)) {
+	ds, entry, ok := s.source(w, req)
+	if !ok {
 		return
 	}
-	sum := ndjsonSummary{
-		Dataset: entry.spec.Name, Count: count, Cache: "bypass",
-		Strategy: rep.Strategy.String(),
+	if !req.hasFilter() {
+		// A per-request view of the shared catalog dataset, so the
+		// action's trace phases land on the view instead of
+		// accumulating on the base.
+		ds = ds.Optimize(true)
 	}
-	trace := chain.Trace()
-	annotate(r, "", traceSummary(trace))
-	if req.Trace {
+	if !s.acquireAdmission(w, r) {
+		return
+	}
+	defer s.adm.Release()
+
+	rows, clusters, err := action(ds)
+	if err != nil {
+		httpError(w, http.StatusInternalServerError, "%s failed: %v", op, err)
+		return
+	}
+	rw := startRows(w, "bypass", false, 0)
+	for _, row := range rows {
+		if !rw.write(row.Key, row.Value) {
+			break
+		}
+	}
+	rw.finish(r, nil, ndjsonSummary{Dataset: entry.spec.Name, Cache: "bypass", Clusters: clusters}, ds.Trace(), req.Trace)
+}
+
+// handleKNNQuery executes the knn op of a service query: the k
+// nearest records, nearest first, each with a "distance" property.
+// The search stops when the client hangs up.
+func (s *Server) handleKNNQuery(w http.ResponseWriter, r *http.Request, req ServiceQueryRequest) {
+	q, err := stark.FromWKT(req.KNN.WKT)
+	if err != nil {
+		httpError(w, http.StatusBadRequest, "bad knn query: %v", err)
+		return
+	}
+	if req.KNN.K <= 0 {
+		httpError(w, http.StatusBadRequest, "knn k must be >= 1")
+		return
+	}
+	s.serveAction(w, r, req, "knn", func(ds *stark.Dataset[workload.Event]) ([]featureRow, *int, error) {
+		nbrs, err := ds.KNNContext(r.Context(), q, req.KNN.K)
+		rows := make([]featureRow, len(nbrs))
+		for i, nb := range nbrs {
+			props := eventProps(nb.Value)
+			props["distance"] = nb.Distance
+			rows[i] = stark.NewTuple(nb.Key, props)
+		}
+		return rows, nil, err
+	})
+}
+
+// handleClusterQuery executes the cluster op of a service query:
+// DBSCAN over the dataset, every record with its "cluster" label
+// (ClusterNoise for noise) and the number of clusters in the summary.
+func (s *Server) handleClusterQuery(w http.ResponseWriter, r *http.Request, req ServiceQueryRequest) {
+	opts := stark.ClusterOptions{Eps: req.Cluster.Eps, MinPts: req.Cluster.MinPts}
+	if opts.Eps <= 0 || opts.MinPts < 1 {
+		httpError(w, http.StatusBadRequest, "cluster needs eps > 0 and minPts >= 1")
+		return
+	}
+	s.serveAction(w, r, req, "cluster", func(ds *stark.Dataset[workload.Event]) ([]featureRow, *int, error) {
+		recs, n, err := ds.Cluster(opts)
+		rows := make([]featureRow, len(recs))
+		for i, rec := range recs {
+			props := eventProps(rec.Value)
+			props["cluster"] = rec.Cluster
+			rows[i] = stark.NewTuple(rec.Key, props)
+		}
+		return rows, &n, err
+	})
+}
+
+// rowWriter is the one NDJSON row encoder behind every /api/v1/query
+// op: it commits the response headers, writes one GeoJSON feature
+// per line, and for a cacheable filter also collects the lines for
+// the result cache until they outgrow the per-entry budget.
+type rowWriter struct {
+	w      http.ResponseWriter
+	buf    *bytes.Buffer // nil when the rows are not cached
+	maxBuf int64
+	count  int64
+	err    error
+}
+
+// startRows commits the NDJSON response headers; cacheable rows are
+// collected up to maxBuf bytes.
+func startRows(w http.ResponseWriter, cache string, cacheable bool, maxBuf int64) *rowWriter {
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.Header().Set("X-Stark-Cache", cache)
+	rw := &rowWriter{w: w, maxBuf: maxBuf}
+	if cacheable {
+		rw.buf = &bytes.Buffer{}
+	}
+	return rw
+}
+
+// write encodes one feature line; false (the first error kept in
+// rw.err) tells the producer to stop.
+func (rw *rowWriter) write(key stark.STObject, props map[string]interface{}) bool {
+	line, err := json.Marshal(feature(key, props))
+	if err != nil {
+		rw.err = err
+		return false
+	}
+	line = append(line, '\n')
+	if _, err := rw.w.Write(line); err != nil {
+		rw.err = err
+		return false
+	}
+	if rw.buf != nil {
+		if int64(rw.buf.Len()+len(line)) > rw.maxBuf {
+			rw.buf = nil
+		} else {
+			rw.buf.Write(line)
+		}
+	}
+	rw.count++
+	return true
+}
+
+// finish ends the stream: it logs the request's trace summary and
+// writes the summary line (with the trace when the request asked for
+// it), or — when producing or writing the rows failed — logs the
+// abort and reports false. The status line is committed by then, so
+// an abort can only show as a stream without a summary line.
+func (rw *rowWriter) finish(r *http.Request, err error, sum ndjsonSummary, trace *plan.TraceNode, traced bool) bool {
+	if err == nil {
+		err = rw.err
+	}
+	if err != nil {
+		log.Printf("server: aborting NDJSON stream after %d rows: %v", rw.count, err)
+		return false
+	}
+	sum.Count = rw.count
+	annotate(r, sum.Fingerprint, traceSummary(trace))
+	if traced {
 		sum.Trace = trace
 	}
-	writeSummaryLine(w, sum)
+	writeSummaryLine(rw.w, sum)
+	return true
 }
 
 // resolveDataset returns the catalog entry a service request
@@ -310,9 +457,9 @@ func (s *Server) handleDatasetDrop(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, map[string]string{"dropped": name})
 }
 
-// handleServiceStats reports the cache and admission state plus the
-// engine counter totals and Go runtime health — one JSON document a
-// probe can poll without scraping /metrics.
+// handleServiceStats reports the engine parallelism, the cache and
+// admission state, the engine counter totals and Go runtime health —
+// one JSON document a probe can poll without scraping /metrics.
 func (s *Server) handleServiceStats(w http.ResponseWriter, r *http.Request) {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
@@ -321,7 +468,8 @@ func (s *Server) handleServiceStats(w http.ResponseWriter, r *http.Request) {
 		durability = s.dur.status()
 	}
 	writeJSON(w, map[string]interface{}{
-		"durability":   durability,
+		"durability":     durability,
+		"parallelism":    s.ctx.Parallelism(),
 		"cache":          s.cache.Stats(),
 		"admission":      s.adm.Stats(),
 		"datasets":       len(s.catalog.List()),
@@ -333,17 +481,28 @@ func (s *Server) handleServiceStats(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleQueryV1 executes a filter query against a named dataset and
-// streams the result as NDJSON, serving repeated queries from the
-// plan-fingerprint cache.
+// handleQueryV1 executes a service query against a named dataset and
+// streams the result as NDJSON. A plain filter serves repeated
+// queries from the plan-fingerprint cache; the join, knn and cluster
+// ops run under admission and bypass it.
 func (s *Server) handleQueryV1(w http.ResponseWriter, r *http.Request) {
 	var req ServiceQueryRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		httpError(w, http.StatusBadRequest, "bad request: %v", err)
 		return
 	}
-	if req.Join != nil {
+	switch op, err := req.op(); {
+	case err != nil:
+		httpError(w, http.StatusBadRequest, "%v", err)
+		return
+	case op == "join":
 		s.handleJoinQuery(w, r, req)
+		return
+	case op == "knn":
+		s.handleKNNQuery(w, r, req)
+		return
+	case op == "cluster":
+		s.handleClusterQuery(w, r, req)
 		return
 	}
 	entry, ok := s.resolveDataset(w, req.Dataset)
@@ -381,57 +540,14 @@ func (s *Server) handleQueryV1(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("X-Stark-Cache", "miss")
-	var (
-		buf       bytes.Buffer
-		cacheable = fpErr == nil && !req.Trace
-		count     int64
-		rowErr    error
-	)
+	rw := startRows(w, "miss", fpErr == nil && !req.Trace, s.cache.MaxEntryBytes())
 	err = chain.StreamParallelContext(r.Context(), func(kv stark.Tuple[workload.Event]) bool {
-		line, err := json.Marshal(feature(kv, nil, nil))
-		if err != nil {
-			rowErr = err
-			return false
-		}
-		line = append(line, '\n')
-		if _, err := w.Write(line); err != nil {
-			rowErr = err
-			return false
-		}
-		if cacheable {
-			if int64(buf.Len()+len(line)) > s.cache.MaxEntryBytes() {
-				cacheable = false
-				buf = bytes.Buffer{}
-			} else {
-				buf.Write(line)
-			}
-		}
-		count++
-		return true
+		return rw.write(kv.Key, eventProps(kv.Value))
 	})
-	if err == nil {
-		err = rowErr
-	}
-	if err != nil {
-		// The status line is committed; an abort can only be reported
-		// by logging and leaving the stream without a summary line.
-		log.Printf("server: aborting NDJSON stream after %d rows: %v", count, err)
-		return
-	}
-	sum := ndjsonSummary{
-		Dataset: entry.spec.Name, Count: count, Cache: "miss", Fingerprint: fp,
-	}
-	trace := chain.Trace()
-	annotate(r, fp, traceSummary(trace))
-	if req.Trace {
-		sum.Trace = trace
-	}
-	writeSummaryLine(w, sum)
-	if cacheable {
+	sum := ndjsonSummary{Dataset: entry.spec.Name, Cache: "miss", Fingerprint: fp}
+	if rw.finish(r, err, sum, chain.Trace(), req.Trace) && rw.buf != nil {
 		// buf is dead after this call; Put takes ownership.
-		s.cache.Put(fp, buf.Bytes(), count)
+		s.cache.Put(fp, rw.buf.Bytes(), rw.count)
 	}
 }
 
@@ -455,6 +571,9 @@ type ndjsonSummary struct {
 	// Strategy is the physical join strategy that ran (join queries
 	// only).
 	Strategy string `json:"strategy,omitempty"`
+	// Clusters is the number of DBSCAN clusters found (cluster
+	// queries only).
+	Clusters *int `json:"clusters,omitempty"`
 	// Trace is the execution trace (requests with "trace": true only).
 	Trace *plan.TraceNode `json:"trace,omitempty"`
 }
@@ -483,31 +602,15 @@ func (s *Server) handleExplainV1(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "bad request: %v", err)
 		return
 	}
-	if req.Join != nil {
-		chain, rep, entry, ok := s.joinChain(w, req)
-		if !ok {
-			return
-		}
-		// Explaining a join executes it (ExplainNode runs the chain
-		// for the actual counters) — that work must pass through the
-		// same admission gate as the query path, or the explain
-		// endpoint becomes an unbounded side door to full joins.
-		if !s.acquireAdmission(w, r) {
-			return
-		}
-		defer s.adm.Release()
-		node, err := chain.ExplainNode()
-		if err != nil {
-			httpError(w, http.StatusInternalServerError, "explain failed: %v", err)
-			return
-		}
-		writeJSON(w, map[string]interface{}{
-			"dataset":  entry.spec.Name,
-			"plan":     node,
-			"text":     node.Render(),
-			"strategy": rep.Strategy.String(),
-			"cache":    "bypass",
-		})
+	switch op, err := req.op(); {
+	case err != nil:
+		httpError(w, http.StatusBadRequest, "%v", err)
+		return
+	case op == "join":
+		s.explainJoin(w, r, req)
+		return
+	case op != "":
+		httpError(w, http.StatusBadRequest, "explain supports filter and join queries, not %s", op)
 		return
 	}
 	entry, ok := s.resolveDataset(w, req.Dataset)
@@ -520,6 +623,12 @@ func (s *Server) handleExplainV1(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	fp, fpErr := chain.Fingerprint()
+	// ExplainNode executes the filter for its actual counters, so it
+	// passes admission like the query itself.
+	if !s.acquireAdmission(w, r) {
+		return
+	}
+	defer s.adm.Release()
 	node, err := chain.ExplainNode()
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, "explain failed: %v", err)
@@ -537,4 +646,33 @@ func (s *Server) handleExplainV1(w http.ResponseWriter, r *http.Request) {
 		resp["fingerprintError"] = fpErr.Error()
 	}
 	writeJSON(w, resp)
+}
+
+// explainJoin renders the plan of a join query with the strategy it
+// chose.
+func (s *Server) explainJoin(w http.ResponseWriter, r *http.Request, req ServiceQueryRequest) {
+	chain, rep, entry, ok := s.joinChain(w, req)
+	if !ok {
+		return
+	}
+	// Explaining a join executes it (ExplainNode runs the chain for the
+	// actual counters) — that work must pass through the same
+	// admission gate as the query path, or the explain endpoint
+	// becomes an unbounded side door to full joins.
+	if !s.acquireAdmission(w, r) {
+		return
+	}
+	defer s.adm.Release()
+	node, err := chain.ExplainNode()
+	if err != nil {
+		httpError(w, http.StatusInternalServerError, "explain failed: %v", err)
+		return
+	}
+	writeJSON(w, map[string]interface{}{
+		"dataset":  entry.spec.Name,
+		"plan":     node,
+		"text":     node.Render(),
+		"strategy": rep.Strategy.String(),
+		"cache":    "bypass",
+	})
 }

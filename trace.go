@@ -13,6 +13,7 @@ package stark
 // nanoseconds and EXPLAIN output is unchanged.
 
 import (
+	"slices"
 	"time"
 
 	"stark/internal/engine"
@@ -68,7 +69,10 @@ func (d *Dataset[V]) Trace() *plan.TraceNode {
 
 	root := &plan.TraceNode{Op: "query"}
 	var total engine.MetricsSnapshot
-	grafted := false
+	// compiled() has run iff it recorded a plan phase; kNN and DBSCAN
+	// flush instead of compiling, so they carry no plan tree, and
+	// tracing them must not compile the chain after the fact.
+	grafted := !slices.ContainsFunc(phases, func(ph tracePhase) bool { return ph.Name == "plan" })
 	for _, ph := range phases {
 		total = total.Add(ph.Counters)
 		root.WallNS += ph.WallNS
@@ -80,8 +84,7 @@ func (d *Dataset[V]) Trace() *plan.TraceNode {
 		}
 		if !grafted && ph.Name != "plan" {
 			// Graft the executed plan tree under the first execution
-			// phase. compiled() has necessarily run by now (every
-			// action compiles first), so d.comp is stable.
+			// phase; d.comp is stable once compiled() has run.
 			if c, err := d.compiled(); err == nil && c.root != nil {
 				node.Add(plan.TraceFromPlan(c.root))
 			}
